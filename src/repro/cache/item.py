@@ -27,6 +27,8 @@ class CacheItem:
         last_access: simulation time of the most recent get/set.
         expires_at: absolute expiry time, or ``None`` for no expiry.
         flags: opaque client flags (memcached protocol compatibility).
+        cas: the server's unique id for this version of the item (``gets``
+            / ``cas``); 0 when the item was not stored over the protocol.
     """
 
     key: str
@@ -36,6 +38,7 @@ class CacheItem:
     last_access: float = field(default=0.0)
     expires_at: Optional[float] = None
     flags: int = 0
+    cas: int = 0
 
     def __post_init__(self) -> None:
         if self.size < 0:

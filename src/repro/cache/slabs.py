@@ -309,6 +309,20 @@ class SlabStore:
         self.stats.record_delete(item.size)
         return True
 
+    def touch(self, key: str, now: float, expires_at: Optional[float]) -> bool:
+        """Set *key*'s absolute expiry (``None`` = never); see
+        :meth:`repro.cache.store.KeyValueStore.touch`."""
+        item = self._items.get(key)
+        if item is None:
+            return False
+        if item.expired(now):
+            self._unlink(item, "expire")
+            self.stats.record_expiration(item.size)
+            return False
+        item.expires_at = expires_at
+        item.touch(now)
+        return True
+
     def flush(self) -> int:
         """Drop all items (pages stay assigned to their classes)."""
         dropped = list(self._items.values())

@@ -9,11 +9,19 @@ every item that leaves (delete, eviction, or lazy expiry) fires
 ``on_unlink`` once, so a digest driven by these hooks never deletes an
 absent element — the property that rules out one of the two false-negative
 sources (Section IV-A).
+
+Expiry is indexed by a min-heap of ``(expires_at, key)`` entries, one pushed
+whenever an item gains an expiry, so :meth:`KeyValueStore.purge_expired`
+pops only the entries that are due instead of scanning the store.  Entries
+go stale when their item is overwritten, deleted or touched; a popped stale
+entry is skipped (or re-pushed if its key's expiry moved later), and the
+heap is rebuilt once stale entries outnumber live ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.eviction import EvictionPolicy, LRUPolicy
 from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
@@ -59,6 +67,11 @@ class KeyValueStore:
         self.default_item_size = default_item_size
         self._items: Dict[str, CacheItem] = {}
         self._used_bytes = 0
+        #: min-heap of ``(expires_at, key)``; every live item with an expiry
+        #: has an entry no later than its ``expires_at``
+        self._expiry: List[Tuple[float, str]] = []
+        #: live items with an expiry (the heap's non-stale population)
+        self._ttl_items = 0
         self.stats = CacheStats()
         self.link_hooks: List[LinkHook] = []
         self.unlink_hooks: List[UnlinkHook] = []
@@ -169,16 +182,59 @@ class KeyValueStore:
         self.stats.record_delete(item.size)
         return True
 
-    def purge_expired(self, now: float) -> int:
-        """Eagerly remove every expired item; returns how many were removed."""
-        stale = [item for item in self._items.values() if item.expired(now)]
-        for item in stale:
+    def touch(
+        self, key: str, now: float, expires_at: Optional[float]
+    ) -> bool:
+        """Set *key*'s absolute expiry (``None`` = never) and record an access.
+
+        Returns False, like :meth:`delete`, if *key* is absent or expired.
+        """
+        item = self._items.get(key)
+        if item is None:
+            return False
+        if item.expired(now):
             self._unlink(item, REASON_EXPIRE)
             self.stats.record_expiration(item.size)
-        return len(stale)
+            return False
+        old = item.expires_at
+        item.expires_at = expires_at
+        item.touch(now)
+        if expires_at is None:
+            if old is not None:
+                self._ttl_items -= 1
+                self._compact()
+        elif old is None:
+            self._ttl_items += 1
+            self._index(expires_at, key)
+        elif expires_at < old:
+            self._index(expires_at, key)
+        # A later expiry keeps the old entry; purge_expired re-pushes it.
+        return True
+
+    def purge_expired(self, now: float) -> int:
+        """Eagerly remove every expired item; returns how many were removed.
+
+        Pops only the due entries of the expiry heap: O(expired * log n),
+        and O(1) when nothing has expired.
+        """
+        heap = self._expiry
+        removed = 0
+        while heap and heap[0][0] <= now:
+            _, key = heapq.heappop(heap)
+            item = self._items.get(key)
+            if item is None or item.expires_at is None:
+                continue  # stale: key gone or its expiry cleared
+            if not item.expired(now):
+                heapq.heappush(heap, (item.expires_at, key))
+                continue  # its expiry moved later
+            self._unlink(item, REASON_EXPIRE)
+            self.stats.record_expiration(item.size)
+            removed += 1
+        return removed
 
     def flush(self) -> int:
         """Drop everything (power cycle / ``flush_all``); returns item count."""
+        self._expiry.clear()
         dropped = list(self._items.values())
         for item in dropped:
             self._unlink(item, REASON_FLUSH)
@@ -211,12 +267,40 @@ class KeyValueStore:
         self._items[item.key] = item
         self._used_bytes += item.size
         self.policy.on_link(item.key)
+        if item.expires_at is not None:
+            self._ttl_items += 1
+            self._index(item.expires_at, item.key)
         for hook in self.link_hooks:
             hook(item)
+
+    def _index(self, expires_at: float, key: str) -> None:
+        heapq.heappush(self._expiry, (expires_at, key))
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the expiry heap once stale entries outnumber live ones.
+
+        The rebuild keeps one exact entry per live TTL'd item and costs
+        O(heap), paid for by the pushes or unlinks since the last one.
+        """
+        heap = self._expiry
+        if len(heap) <= 2 * self._ttl_items:
+            return
+        items = self._items
+        live = {k for _, k in heap if k in items}
+        heap[:] = [
+            (items[k].expires_at, k)
+            for k in live
+            if items[k].expires_at is not None
+        ]
+        heapq.heapify(heap)
 
     def _unlink(self, item: CacheItem, reason: str) -> None:
         self._items.pop(item.key, None)
         self._used_bytes -= item.size
+        if item.expires_at is not None:
+            self._ttl_items -= 1
+            self._compact()
         self.policy.on_unlink(item.key)
         for hook in self.unlink_hooks:
             hook(item, reason)

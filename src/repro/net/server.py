@@ -118,9 +118,9 @@ class MemcachedServer:
         self._snapshot: Optional[bytes] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self.connections = 0
-        # cas bookkeeping: every successful store bumps the key's unique id.
+        # cas bookkeeping: every successful store stamps the new item with
+        # the next unique id (CacheItem.cas), so evicted keys leave nothing.
         self._cas_counter = 0
-        self._cas: Dict[str, int] = {}
 
     # ------------------------------------------------------------- digest
 
@@ -323,7 +323,7 @@ class MemcachedServer:
             if value is not None:
                 item = self.store.peek(key)
                 flags = item.flags if item is not None else 0
-                cas = self._cas.get(key) if request.command == "gets" else None
+                cas = item.cas if request.command == "gets" else None
                 chunks.append(proto.value_response(key, flags, value, cas=cas))
         chunks.append(proto.end_response())
         return b"".join(chunks)
@@ -342,11 +342,11 @@ class MemcachedServer:
         if request.command == "cas":
             if not exists:
                 return proto.not_found_response()
-            if self._cas.get(key) != request.cas:
+            if current.cas != request.cas:
                 return proto.exists_response()
         ttl = float(request.exptime) if request.exptime > 0 else None
         try:
-            self.store.set(
+            stored = self.store.set(
                 key,
                 request.value,
                 now=now,
@@ -356,12 +356,12 @@ class MemcachedServer:
             )
         except CapacityError as exc:
             return proto.error_response(str(exc))
-        self._bump_cas(key)
+        self._stamp_cas(stored)
         return proto.stored_response()
 
-    def _bump_cas(self, key: str) -> None:
+    def _stamp_cas(self, item: CacheItem) -> None:
         self._cas_counter += 1
-        self._cas[key] = self._cas_counter
+        item.cas = self._cas_counter
 
     def _do_concat(self, request: proto.Request) -> bytes:
         key = request.keys[0]
@@ -376,11 +376,11 @@ class MemcachedServer:
         else:
             merged = request.value + bytes(item.value)
         expires = item.expires_at
-        self.store.set(
+        stored = self.store.set(
             key, merged, now=now, size=len(merged), flags=item.flags,
             ttl=None if expires is None else max(0.0, expires - now),
         )
-        self._bump_cas(key)
+        self._stamp_cas(stored)
         return proto.stored_response()
 
     def _do_arith(self, request: proto.Request) -> bytes:
@@ -402,24 +402,22 @@ class MemcachedServer:
         item = self.store.peek(key)
         encoded = str(number).encode("ascii")
         expires = item.expires_at if item is not None else None
-        self.store.set(
+        stored = self.store.set(
             key, encoded, now=now, size=len(encoded),
             flags=item.flags if item is not None else 0,
             ttl=None if expires is None else max(0.0, expires - now),
         )
-        self._bump_cas(key)
+        self._stamp_cas(stored)
         return proto.number_response(number)
 
     def _do_touch(self, request: proto.Request) -> bytes:
         key = request.keys[0]
         now = self._clock()
-        item = self.store.peek(key)
-        if item is None or item.expired(now):
-            return proto.not_found_response()
-        item.expires_at = (
+        expires_at = (
             None if request.exptime <= 0 else now + float(request.exptime)
         )
-        item.touch(now)
+        if not self.store.touch(key, now, expires_at):
+            return proto.not_found_response()
         return proto.touched_response()
 
     def _do_delete(self, request: proto.Request) -> bytes:

@@ -132,6 +132,15 @@ class TestSlabStore:
         assert store.get("k", 6.0) is None
         assert store.stats.expirations == 1
 
+    def test_touch_moves_expiry(self):
+        store = SlabStore(2 * MB)
+        store.set("k", b"v", now=0.0, ttl=5.0)
+        assert store.touch("k", 1.0, 50.0)
+        assert store.get("k", 10.0) == b"v"
+        assert store.touch("k", 11.0, None)
+        assert store.get("k", 1e9) == b"v"
+        assert not store.touch("ghost", 0.0, 1.0)
+
     def test_delete_and_flush(self):
         store = SlabStore(2 * MB)
         store.set("a", b"1", now=0.0)

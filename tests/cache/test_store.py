@@ -92,6 +92,79 @@ class TestExpiry:
         assert len(store) == 1
 
 
+class TestTouch:
+    def test_extended_item_survives_purge_at_old_expiry(self):
+        store = KeyValueStore()
+        store.set("k", "v", now=0.0, ttl=10.0)
+        assert store.touch("k", now=5.0, expires_at=100.0)
+        assert store.purge_expired(now=10.0) == 0
+        assert store.get("k", now=50.0) == "v"
+        assert store.purge_expired(now=100.0) == 1
+        assert "k" not in store
+
+    def test_ttl_added_by_touch_is_purged(self):
+        store = KeyValueStore()
+        store.set("k", "v", now=0.0)
+        assert store.touch("k", now=1.0, expires_at=20.0)
+        assert store.purge_expired(now=19.0) == 0
+        assert store.purge_expired(now=20.0) == 1
+        assert "k" not in store
+
+    def test_touch_none_clears_expiry(self):
+        store = KeyValueStore()
+        store.set("k", "v", now=0.0, ttl=5.0)
+        assert store.touch("k", now=1.0, expires_at=None)
+        assert store.purge_expired(now=1e9) == 0
+        assert store.get("k", now=1e9) == "v"
+
+    def test_shortened_expiry_is_purged_early(self):
+        store = KeyValueStore()
+        store.set("k", "v", now=0.0, ttl=100.0)
+        assert store.touch("k", now=1.0, expires_at=5.0)
+        assert store.purge_expired(now=5.0) == 1
+
+    def test_touch_missing_or_expired_key(self):
+        store, events = hooked_store()
+        assert not store.touch("ghost", now=0.0, expires_at=10.0)
+        store.set("k", "v", now=0.0, ttl=1.0)
+        assert not store.touch("k", now=2.0, expires_at=10.0)
+        assert events[-1] == ("unlink", "k", REASON_EXPIRE)
+        assert store.stats.expirations == 1
+
+
+class TestExpiryIndex:
+    def test_overwrites_keep_index_bounded(self):
+        store = KeyValueStore()
+        for i in range(10_000):
+            store.set("k", i, now=float(i), ttl=50.0)
+        assert len(store._expiry) == 1
+        assert store.purge_expired(now=10_049.0) == 1
+
+    def test_touches_and_deletes_keep_index_bounded(self):
+        store = KeyValueStore()
+        for i in range(1_000):
+            store.set(f"k{i}", i, now=0.0, ttl=10.0)
+            store.touch(f"k{i}", now=0.0, expires_at=5.0)
+            store.delete(f"k{i}")
+            assert len(store._expiry) <= 2
+        assert store._expiry == []
+
+    def test_flush_clears_index(self):
+        store = KeyValueStore()
+        for i in range(10):
+            store.set(f"k{i}", i, now=0.0, ttl=10.0)
+        store.flush()
+        assert store._expiry == []
+        store.set("k", "v", now=0.0, ttl=1.0)
+        assert store.purge_expired(now=1.0) == 1
+
+    def test_no_ttl_items_leave_index_empty(self):
+        store = KeyValueStore(capacity_bytes=300)
+        for i in range(100):
+            store.set(f"k{i}", i, size=100, now=float(i))
+        assert store._expiry == []
+
+
 class TestEviction:
     def test_lru_eviction_at_capacity(self):
         store = KeyValueStore(capacity_bytes=300)

@@ -65,6 +65,19 @@ class TestCas:
 
         run(with_server(body))
 
+    def test_flush_all_leaves_no_per_key_cas_state(self):
+        async def body(server, client):
+            for i in range(20):
+                await client.set(f"k{i}", b"v")
+            assert (await client.gets("k0")).cas > 0
+            await client.flush_all()
+            assert len(server.store) == 0
+            for value in vars(server).values():
+                if isinstance(value, dict):
+                    assert not any(f"k{i}" in value for i in range(20))
+
+        run(with_server(body))
+
     def test_gets_miss_returns_none(self):
         async def body(server, client):
             assert await client.gets("missing") is None
@@ -172,6 +185,21 @@ class TestTouch:
             assert await client.touch("k", 0)
             fake["t"] = 1e9
             assert await client.get("k") == b"v"
+
+        run(with_server(body))
+
+
+    def test_touch_ttl_reaches_the_expiry_index(self):
+        async def body(server, client):
+            fake = {"t": 0.0}
+            server._clock = lambda: fake["t"]
+            await client.set("k", b"v")
+            await client.set("j", b"v", exptime=10)
+            assert await client.touch("k", 5)
+            assert await client.touch("j", 100)
+            assert server.store.purge_expired(10.0) == 1
+            assert "k" not in server.store and "j" in server.store
+            assert "k" not in server.digest
 
         run(with_server(body))
 

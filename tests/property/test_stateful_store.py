@@ -1,15 +1,17 @@
 """Hypothesis stateful test: KeyValueStore vs a reference model.
 
 Drives the bounded store with random interleavings of set/get/delete/
-expiry/time advances and checks it against a plain-dict model with the same
-TTL semantics.  Eviction makes exact value-equality impossible (the store
+touch/purge/time advances and checks it against a plain-dict model with the
+same TTL semantics.  Eviction makes exact value-equality impossible (the store
 may drop keys the model keeps), so the invariants are one-sided plus
 accounting identities:
 
 * a store hit always returns the model's value (no stale/corrupt reads);
 * the store never exceeds its capacity;
 * stats.items == len(store) and bytes match the item sizes;
-* the digest (driven by hooks) matches the store's key set exactly.
+* the digest (driven by hooks) matches the store's key set exactly;
+* ``purge_expired`` removes exactly the keys a whole-store scan for expired
+  items (the store's former implementation, kept here as the oracle) finds.
 """
 
 from hypothesis import settings
@@ -71,6 +73,27 @@ class StoreMachine(RuleBasedStateMachine):
         self.store.delete(key, now=self.now)
         self.model.pop(key, None)
 
+    @rule(key=st.sampled_from(KEYS), ttl=st.one_of(
+        st.none(), st.floats(min_value=1.0, max_value=40.0)))
+    def do_touch(self, key, ttl):
+        expires_at = None if ttl is None else self.now + ttl
+        if self.store.touch(key, self.now, expires_at):
+            self.model[key] = (self.model[key][0], expires_at)
+        else:
+            self.model.pop(key, None)
+
+    @rule()
+    def do_purge(self):
+        oracle = {
+            key for key in self.store.keys()
+            if self.store.peek(key).expired(self.now)
+        }
+        before = set(self.store.keys())
+        removed = self.store.purge_expired(self.now)
+        assert before - set(self.store.keys()) == oracle
+        assert removed == len(oracle)
+        assert self.digest.count == len(self.store)
+
     @rule(delta=st.floats(min_value=0.1, max_value=30.0))
     def advance_time(self, delta):
         self.now += delta
@@ -90,6 +113,10 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.digest.count == len(live)
         for key in live:
             assert key in self.digest
+
+    @invariant()
+    def expiry_index_bounded(self):
+        assert len(self.store._expiry) <= 2 * self.store._ttl_items
 
     @invariant()
     def store_is_subset_of_model(self):
