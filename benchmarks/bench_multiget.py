@@ -106,7 +106,6 @@ def run_live(size: int, use_batch: bool):
 
             return wrapped
 
-        web._get = count(web._get)
         web._set = count(web._set)
         web._get_multi = count(web._get_multi)
         web._set_multi = count(web._set_multi)

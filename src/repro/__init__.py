@@ -45,7 +45,6 @@ from repro.core import (
     BACKEND_NAMES,
     RING_BACKENDS,
     ROUTER_SCENARIOS,
-    BatchCommand,
     CheckDigestMulti,
     CompiledRingTable,
     ConsistentRouter,
@@ -133,7 +132,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AsyncProteusFrontend",
     "BACKEND_NAMES",
-    "BatchCommand",
     "BloomConfig",
     "BloomFilter",
     "CacheCluster",

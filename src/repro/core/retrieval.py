@@ -7,19 +7,23 @@ how each step is performed: the simulator charges latency-model samples
 against a virtual clock, the live tier awaits memcached round trips over
 TCP.  This module owns the decisions; drivers own the I/O.
 
-:class:`RetrievalEngine.retrieve` is a generator that *yields commands* —
-:class:`ProbeCache`, :class:`CheckDigest`, :class:`ReadDatabase`,
-:class:`WriteBack`, :class:`WaitForLeader` — and receives each command's
-result via ``send``.  A driver is a small loop::
+The planners are generators that *yield rounds* — tuples of commands with
+no mutual dependencies, drawn from one vocabulary
+(:class:`ProbeCacheMulti`, :class:`CheckDigestMulti`,
+:class:`WriteBackMulti`, :class:`WaitForLeader`, :class:`ReadDatabase`) —
+and receive each round's answers, aligned by index, via ``send``.  A
+driver is one small loop around one command executor, shared by the
+one-key planner :meth:`RetrievalEngine.retrieve` and the batch planner
+:meth:`RetrievalEngine.retrieve_many`::
 
-    steps = engine.retrieve(key, epochs)
-    result = None
+    steps = engine.retrieve(key, epochs)  # or engine.retrieve_many(keys, epochs)
+    answers = None
     try:
         while True:
-            command = steps.send(result)
-            result = ...  # perform the I/O the command names
+            round_ = steps.send(answers)
+            answers = tuple(execute(command) for command in round_)
     except StopIteration as stop:
-        outcome = stop.value  # RetrievalOutcome
+        outcome = stop.value  # RetrievalOutcome (a key -> outcome map for a batch)
 
 Because both the simulated web tier (:class:`repro.web.frontend.WebServer`)
 and the asyncio tier (:class:`repro.net.webtier.AsyncProteusFrontend`)
@@ -34,18 +38,17 @@ routing_epochs`, the live tier from its own
 :class:`~repro.core.transition.TransitionManager` — so the engine never
 needs to know where transition state lives.
 
-**Batched retrieval.**  :meth:`RetrievalEngine.retrieve_many` is the batch
-planner: it runs Algorithm 2 for a whole key set at once, grouping probes
-and write-backs by owning server per routing epoch so a driver can cover N
-keys with one multiget round trip per touched server instead of one round
-trip per key.  The batch protocol yields *rounds* — tuples of commands
-with no mutual dependencies — and receives a tuple of answers aligned by
-index, so a live driver may execute each round concurrently
-(``asyncio.gather`` over per-server ``get_multi`` calls) while a simulated
-driver charges one latency sample per server touched.  Per-item semantics
-are untouched: for any key set and transition state the outcome map and
-the :class:`FetchStats` counts are identical to N sequential
-:meth:`RetrievalEngine.retrieve` runs.
+**Batched retrieval.**  :meth:`RetrievalEngine.retrieve_many` runs
+Algorithm 2 for a whole key set at once, grouping probes and write-backs by
+owning server per routing epoch so a driver can cover N keys with one
+multiget round trip per touched server instead of one round trip per key.
+A live driver may execute each round concurrently (``asyncio.gather`` over
+per-server ``get_multi`` calls) while a simulated driver charges one
+latency sample per server touched.  The one-key planner yields one-command
+rounds, so a round's clock rule (the slowest command) reduces to the
+command's own cost.  Per-item semantics are untouched: for any key set and
+transition state the outcome map and the :class:`FetchStats` counts are
+identical to N sequential :meth:`RetrievalEngine.retrieve` runs.
 """
 
 from __future__ import annotations
@@ -54,18 +57,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    ClassVar,
     Dict,
     FrozenSet,
     Generator,
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 from repro.bloom.hashing import KeyHashes, digest_bases_many
@@ -73,8 +73,6 @@ from repro.core.hotkey import HotKeyArmor
 from repro.core.transition import RoutingEpochs
 
 __all__ = [
-    "BatchCommand",
-    "CheckDigest",
     "CheckDigestMulti",
     "Command",
     "CommandRound",
@@ -83,7 +81,6 @@ __all__ = [
     "FetchResult",
     "FetchStats",
     "LeaderWindowRegistry",
-    "ProbeCache",
     "ProbeCacheMulti",
     "ReadDatabase",
     "ReplicatedOutcome",
@@ -95,7 +92,6 @@ __all__ = [
     "SERVER_UNAVAILABLE",
     "SKIPPED",
     "WaitForLeader",
-    "WriteBack",
     "WriteBackMulti",
 ]
 
@@ -305,144 +301,26 @@ class RetrievalConfigMixin:
 
 
 # ------------------------------------------------------------------ commands
+#
+# Both planners speak one vocabulary.  Every command is a plain slotted
+# dataclass (cheap to build on the one-key path) and drivers dispatch on its
+# concrete type; the answers a driver sends back:
+#
+# ================ ==========================================================
+# command          driver answer
+# ================ ==========================================================
+# ProbeCacheMulti  dict of key -> value for the hits (misses are absent)
+# CheckDigestMulti sequence of bools aligned with ``keys``
+# WriteBackMulti   ignored
+# WaitForLeader    ``True`` when a leader's DB fetch was waited for
+# ReadDatabase     the value
+# ================ ==========================================================
+#
+# The three cache commands may instead be answered SERVER_UNAVAILABLE (the
+# whole group degrades) and probes also accept SKIPPED.
 
 
-@runtime_checkable
-class BatchCommand(Protocol):
-    """The one shape every batched engine command presents to a driver.
-
-    The scalar/batch command pairs (:class:`ProbeCache` /
-    :class:`ProbeCacheMulti`, :class:`CheckDigest` /
-    :class:`CheckDigestMulti`, :class:`WriteBack` / :class:`WriteBackMulti`)
-    share a vocabulary: every command names its ``server`` and its
-    ``reply_with`` contract, and the batch variants carry the grouped
-    ``keys``.  A driver's batched executor therefore dispatches on
-    ``reply_with`` for the whole trio instead of growing a per-class
-    ``isinstance`` ladder:
-
-    ========== ===================== =====================================
-    reply_with command               driver answer
-    ========== ===================== =====================================
-    values     ProbeCacheMulti       dict of key -> value for the hits
-    membership CheckDigestMulti      sequence of bools aligned with keys
-    ack        WriteBackMulti        ignored
-    ========== ===================== =====================================
-
-    Any of the three may instead be answered :data:`SERVER_UNAVAILABLE`
-    (the whole group degrades) and the probes also accept :data:`SKIPPED`.
-    ``isinstance(command, BatchCommand)`` is a runtime check for the batch
-    trio — the scalar halves carry ``server``/``reply_with`` but not
-    ``keys``, so they do not match.
-    """
-
-    reply_with: ClassVar[str]
-
-    @property
-    def server(self) -> int: ...
-
-    @property
-    def keys(self) -> Tuple[str, ...]: ...
-
-
-@dataclass(frozen=True)
-class ProbeCache:
-    """``get`` the key from cache server *server_id*.
-
-    Driver answer: the value, ``None`` on a miss, or :data:`SKIPPED` when
-    the server is not serving requests (replicated reads only — the
-    unreplicated path never probes a dead server).
-    """
-
-    server_id: int
-
-    #: see :class:`BatchCommand` (the scalar half of the values pair)
-    reply_with: ClassVar[str] = "values"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
-class CheckDigest:
-    """Consult the broadcast digest of old owner *server_id* for the key.
-
-    Driver answer: ``bool`` — membership according to the digest, ``False``
-    when no digest was broadcast for that server (the safe fallback: skip
-    the old owner, go to the database).
-
-    In single-key retrievals the driver knows the key from its own call
-    context and ``key`` stays ``None``; batched retrievals carry the key
-    explicitly because one round interleaves many keys.
-
-    ``hashes`` (when set) is the key's memoized
-    :class:`~repro.bloom.hashing.KeyHashes`; drivers forward it to
-    :meth:`~repro.core.transition.Transition.digest_hit` so the digest
-    probes reuse the double-hash pair instead of rehashing the key.  It is
-    excluded from equality so command traces compare on the decision alone.
-    """
-
-    server_id: int
-    key: Optional[str] = None
-    hashes: Optional[KeyHashes] = field(compare=False, repr=False, default=None)
-
-    #: see :class:`BatchCommand` (the scalar half of the membership pair)
-    reply_with: ClassVar[str] = "membership"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
-class WaitForLeader:
-    """If another request's DB fetch for this key is in flight, wait for it.
-
-    Driver answer: ``True`` when a leader existed and the wait completed
-    (the engine then re-probes the new owner), ``False`` when there was no
-    leader or its window already closed (the engine reads the DB itself).
-
-    ``key`` is set only on the batched path (see :class:`CheckDigest`).
-    """
-
-    key: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ReadDatabase:
-    """Read the key from the authoritative store (never misses).
-
-    Driver answer: the value.  When ``announce_leader`` is set the driver
-    must also publish this request as the key's in-flight leader so that
-    concurrent misses can coalesce behind it (see :class:`WaitForLeader`).
-
-    ``key`` is set only on the batched path (see :class:`CheckDigest`).
-    """
-
-    announce_leader: bool = False
-    key: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class WriteBack:
-    """Install *value* at cache server *server_id* (Alg. 2 line 12).
-
-    Driver answer: ignored.  Replicated drivers silently skip write-backs
-    to servers that are not serving requests.
-    """
-
-    server_id: int
-    value: Any
-
-    #: see :class:`BatchCommand` (the scalar half of the ack pair)
-    reply_with: ClassVar[str] = "ack"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProbeCacheMulti:
     """``get_multi`` *keys* from cache server *server_id* — one round trip.
 
@@ -455,47 +333,34 @@ class ProbeCacheMulti:
     server_id: int
     keys: Tuple[str, ...]
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "values"
 
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckDigestMulti:
-    """Consult old owner *server_id*'s digest for every key — one grouped
-    probe per ceding server instead of one scalar consult per key.
+    """Consult old owner *server_id*'s broadcast digest for every key — one
+    grouped consult per ceding server.
 
-    Driver answer: a sequence of bools aligned with ``keys`` — element
-    ``i`` must equal the answer a scalar :class:`CheckDigest` for
-    ``keys[i]`` would get (:meth:`~repro.core.transition.Transition.\
-digest_hit_many` guarantees bit-identity) — or
+    Driver answer: a sequence of bools aligned with ``keys``
+    (:meth:`~repro.core.transition.Transition.digest_hit_many`; all
+    ``False`` when no digest was broadcast for that server — the safe
+    fallback: skip the old owner, go to the database) — or
     :data:`SERVER_UNAVAILABLE` when the server's digest state cannot be
     consulted at all, which degrades the whole group to the database.
 
     ``hashes`` (when set) is aligned with ``keys`` and carries each key's
-    memoized double-hash pair, exactly like the scalar command; excluded
-    from equality so command traces compare on the decision alone.
+    memoized :class:`~repro.bloom.hashing.KeyHashes`, so the digest probes
+    reuse the double-hash pair instead of rehashing; it is excluded from
+    equality so command traces compare on the decision alone.
     """
 
     server_id: int
     keys: Tuple[str, ...]
     hashes: Tuple[KeyHashes, ...] = field(compare=False, repr=False, default=())
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "membership"
 
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteBackMulti:
     """Install every ``(key, value)`` pair at server *server_id* — one
-    pipelined round trip.
+    pipelined round trip (Alg. 2 line 12).
 
     Driver answer: ignored.  Replicated drivers silently skip write-backs
     to servers that are not serving requests.
@@ -504,40 +369,58 @@ class WriteBackMulti:
     server_id: int
     items: Tuple[Tuple[str, Any], ...]
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "ack"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
     @property
     def keys(self) -> Tuple[str, ...]:
-        """The grouped keys (derived from ``items``; the batch contract)."""
+        """The grouped keys (derived from ``items``)."""
         return tuple(key for key, _ in self.items)
 
 
+@dataclass(slots=True)
+class WaitForLeader:
+    """If another request's DB fetch for *key* is in flight, wait for it.
+
+    Driver answer: ``True`` when a leader existed and the wait completed
+    (the engine then re-probes the new owner), ``False`` when there was no
+    leader or its window already closed (the engine reads the DB itself).
+    A driver with real concurrency claims the key for this request as it
+    answers ``False``, so no concurrent miss slips in before the read.
+    """
+
+    key: str
+
+
+@dataclass(slots=True)
+class ReadDatabase:
+    """Read *key* from the authoritative store (never misses).
+
+    Driver answer: the value.  When ``announce_leader`` is set the driver
+    must also publish this request as the key's in-flight leader so that
+    concurrent misses can coalesce behind it (see :class:`WaitForLeader`).
+    """
+
+    key: str
+    announce_leader: bool = False
+
+
 Command = Union[
-    ProbeCache,
-    CheckDigest,
-    WaitForLeader,
-    ReadDatabase,
-    WriteBack,
     ProbeCacheMulti,
     CheckDigestMulti,
     WriteBackMulti,
+    WaitForLeader,
+    ReadDatabase,
 ]
 
-#: One step of the batched protocol: commands with no mutual dependencies,
+#: One step of the round protocol: commands with no mutual dependencies,
 #: answered by a tuple of results aligned by index.  Drivers may execute a
 #: round's commands concurrently.
 CommandRound = Tuple[Command, ...]
 
+
 class _DriverSignal:
     """An identity sentinel a driver may answer a command with.
 
-    Falsy on purpose: a :class:`CheckDigest` answered with a signal must
-    not read as a digest hit in any driver that forgets to special-case it.
+    Falsy on purpose: an answer that is a signal must not read as a hit
+    in any driver that forgets to special-case it.
     """
 
     __slots__ = ("_name",)
@@ -552,19 +435,26 @@ class _DriverSignal:
         return False
 
 
-#: Driver answer to :class:`ProbeCache` / :class:`ProbeCacheMulti` meaning
-#: "server not serving; probe did not happen" — distinct from ``None`` (a
-#: real miss).
+#: Driver answer to :class:`ProbeCacheMulti` meaning "server not serving;
+#: probe did not happen" — distinct from an empty dict (a real miss).
 SKIPPED = _DriverSignal("SKIPPED")
 
-#: Driver answer to :class:`ProbeCache` / :class:`ProbeCacheMulti` /
-#: :class:`CheckDigest` / :class:`WriteBack` / :class:`WriteBackMulti`
-#: meaning "the server could not be reached (dead, hung, or open-circuit)".
+#: Driver answer to :class:`ProbeCacheMulti` / :class:`CheckDigestMulti` /
+#: :class:`WriteBackMulti` meaning "the server could not be reached (dead,
+#: hung, or open-circuit)".
 #: The engine *degrades* instead of failing: a skipped probe is a forced
 #: miss, an unanswerable digest consult skips the old owner, and a failed
 #: write-back is recorded but never fails the fetch — the request still
 #: completes via the database (:attr:`FetchPath.DEGRADED_DB`).
 SERVER_UNAVAILABLE = _DriverSignal("SERVER_UNAVAILABLE")
+
+
+def _probed(answer: Any, key: str) -> Any:
+    """*key*'s value from a one-key probe's answer: the value, ``None`` on a
+    miss, or the :class:`_DriverSignal` the driver answered with."""
+    if answer:
+        return answer.get(key)
+    return answer if isinstance(answer, _DriverSignal) else None
 
 
 def _chunked(items: Sequence, size: int) -> Iterable[tuple]:
@@ -624,6 +514,18 @@ class FetchResult:
     #: True when a fault was served around (see
     #: :attr:`RetrievalOutcome.degraded`).
     degraded: bool = False
+
+    @classmethod
+    def from_outcome(
+        cls, outcome: RetrievalOutcome, started: float, completed: float
+    ) -> "FetchResult":
+        """Stamp an engine outcome with the driver's start/end times."""
+        return cls(
+            key=outcome.key, value=outcome.value, path=outcome.path,
+            started=started, completed=completed,
+            new_server=outcome.new_server, old_server=outcome.old_server,
+            degraded=outcome.degraded,
+        )
 
     @property
     def latency(self) -> float:
@@ -735,8 +637,8 @@ class RetrievalEngine:
 
     def retrieve(
         self, key: str, epochs: RoutingEpochs, now: Optional[float] = None
-    ) -> Generator[Command, Any, RetrievalOutcome]:
-        """Yield the I/O commands that retrieve *key* under *epochs*.
+    ) -> Generator[CommandRound, Any, RetrievalOutcome]:
+        """Yield the one-command rounds that retrieve *key* under *epochs*.
 
         The data path (paper Algorithm 2):
 
@@ -784,16 +686,17 @@ class RetrievalEngine:
                     key, local, FetchPath.HIT_LOCAL, new_id, None
                 )
         new_id = self.router.route_hashed(hashes, epochs.new)
+        keys = (key,)
         events: List[str] = []
         forced_db = False
-        answer = yield ProbeCache(new_id)
-        if answer is SERVER_UNAVAILABLE:
+        (answer,) = yield (ProbeCacheMulti(new_id, keys),)
+        value = _probed(answer, key)
+        if value is SERVER_UNAVAILABLE:
             events.append("probe_new")
             forced_db = True
-            answer = None
-        if answer is not None:
+        elif value is not None:
             return self._finish(
-                key, answer, FetchPath.HIT_NEW, new_id, None, now=now
+                key, value, FetchPath.HIT_NEW, new_id, None, now=now
             )
 
         old_id: Optional[int] = None
@@ -801,43 +704,48 @@ class RetrievalEngine:
         if epochs.in_transition:
             old_id = self.router.route_hashed(hashes, epochs.old)
             if old_id != new_id:
-                digest_hit = yield CheckDigest(old_id, hashes=hashes)
-                if digest_hit is SERVER_UNAVAILABLE:
+                (digest,) = yield (CheckDigestMulti(old_id, keys, (hashes,)),)
+                if digest is SERVER_UNAVAILABLE:
                     # Digest unknown (broadcast failed): forced miss — the
                     # safe fallback is the database, never a stale guess.
                     events.append("digest")
                     forced_db = True
-                elif digest_hit:
-                    answer = yield ProbeCache(old_id)
-                    if answer is SERVER_UNAVAILABLE:
+                elif digest[0]:
+                    (answer,) = yield (ProbeCacheMulti(old_id, keys),)
+                    value = _probed(answer, key)
+                    if value is SERVER_UNAVAILABLE:
                         # Dead old owner: the hot copy is unreachable, fall
                         # through to the authoritative store.
                         events.append("probe_old")
                         forced_db = True
-                    elif answer is not None:
-                        if (yield WriteBack(new_id, answer)) is SERVER_UNAVAILABLE:
+                    elif value is not None:
+                        (ack,) = yield (WriteBackMulti(new_id, ((key, value),)),)
+                        if ack is SERVER_UNAVAILABLE:
                             events.append("writeback")
                         return self._finish(
-                            key, answer, FetchPath.HIT_OLD, new_id, old_id,
+                            key, value, FetchPath.HIT_OLD, new_id, old_id,
                             events, now=now,
                         )
                     else:
                         path = FetchPath.FALSE_POSITIVE_DB
 
-        if self.coalesce_misses and (yield WaitForLeader()):
-            # The leader's write-back has installed the value at the new
-            # owner: one more cache probe instead of a DB read.  No
-            # write-back of our own — rewriting would push the item's
-            # creation time past later coalescing followers.
-            answer = yield ProbeCache(new_id)
-            if answer is SERVER_UNAVAILABLE:
-                events.append("probe_new")
-                forced_db = True
-            elif answer is not None:
-                return self._finish(
-                    key, answer, FetchPath.COALESCED, new_id, old_id, events,
-                    now=now,
-                )
+        if self.coalesce_misses:
+            (waited,) = yield (WaitForLeader(key),)
+            if waited:
+                # The leader's write-back has installed the value at the
+                # new owner: one more cache probe instead of a DB read.
+                # No write-back of our own — rewriting would push the
+                # item's creation time past later coalescing followers.
+                (answer,) = yield (ProbeCacheMulti(new_id, keys),)
+                value = _probed(answer, key)
+                if value is SERVER_UNAVAILABLE:
+                    events.append("probe_new")
+                    forced_db = True
+                elif value is not None:
+                    return self._finish(
+                        key, value, FetchPath.COALESCED, new_id, old_id,
+                        events, now=now,
+                    )
 
         if (
             self.admission is not None
@@ -849,8 +757,11 @@ class RetrievalEngine:
             return self._finish(
                 key, None, FetchPath.SHED, new_id, old_id, events, now=now
             )
-        value = yield ReadDatabase(announce_leader=self.coalesce_misses)
-        if (yield WriteBack(new_id, value)) is SERVER_UNAVAILABLE:
+        (value,) = yield (
+            ReadDatabase(key, announce_leader=self.coalesce_misses),
+        )
+        (ack,) = yield (WriteBackMulti(new_id, ((key, value),)),)
+        if ack is SERVER_UNAVAILABLE:
             events.append("writeback")
         if forced_db:
             path = FetchPath.DEGRADED_DB
@@ -905,7 +816,7 @@ class RetrievalEngine:
             if not ordered:
                 return outcomes
         #: key -> degraded event labels accumulated on the way (parity with
-        #: the scalar path's per-request ``events`` list)
+        #: the one-key planner's per-request ``events`` list)
         events: Dict[str, List[str]] = {}
         #: keys whose database read (if any) was *forced* by a fault
         forced: set = set()
@@ -1006,7 +917,7 @@ class RetrievalEngine:
         # Phase 3 — coalescing: wait behind in-flight leaders, then re-probe
         # the new owners of the keys whose leader completed (batched).
         if self.config.coalesce_misses and pending:
-            answers = yield tuple(WaitForLeader(key=key) for key in pending)
+            answers = yield tuple(WaitForLeader(key) for key in pending)
             waited = [key for key, ok in zip(pending, answers) if ok]
             if waited:
                 installed, wait_down = yield from self._probe_many(
@@ -1046,9 +957,7 @@ class RetrievalEngine:
             pending = admitted
         if pending:
             values = yield tuple(
-                ReadDatabase(
-                    announce_leader=self.config.coalesce_misses, key=key
-                )
+                ReadDatabase(key, announce_leader=self.config.coalesce_misses)
                 for key in pending
             )
             for key, value in zip(pending, values):
@@ -1203,8 +1112,9 @@ class ReplicatedRetrievalEngine:
         epochs: RoutingEpochs,
         failed: FrozenSet[int] = frozenset(),
         now: Optional[float] = None,
-    ) -> Generator[Command, Any, ReplicatedOutcome]:
-        """Yield the commands that read *key* from the first live replica.
+    ) -> Generator[CommandRound, Any, ReplicatedOutcome]:
+        """Yield the one-command rounds that read *key* from the first live
+        replica; write-backs stay one round per target.
 
         With hot-key armor enabled (``config.hot_key_cache`` and the
         driver's clock passed as *now*), a sketch-elected key with a fresh
@@ -1227,6 +1137,7 @@ class ReplicatedRetrievalEngine:
         # read_targets RoutingError: every replica crashed, DB only).
         plan = self._plan(key, epochs, failed, hot, now)
         targets, primary = plan.targets, plan.primary
+        keys = (key,)
         value: Any = None
         served_by: Optional[int] = None
         probes = 0
@@ -1235,7 +1146,8 @@ class ReplicatedRetrievalEngine:
                 # Every arrival charges the load EWMA the d-choices pick
                 # reads — cold-key traffic loads servers too.
                 self.armor.loads.record_request(target, now)
-            result = yield ProbeCache(target)
+            (answer,) = yield (ProbeCacheMulti(target, keys),)
+            result = _probed(answer, key)
             if result is SKIPPED or result is SERVER_UNAVAILABLE:
                 # Not serving / unreachable: no probe happened; the next
                 # replica ring covers, exactly as for a routed-out server.
@@ -1263,12 +1175,12 @@ class ReplicatedRetrievalEngine:
                     key=key, value=None, served_by=None, probes=probes,
                     touched_database=False, failover=False, shed=True,
                 )
-            value = yield ReadDatabase()
+            (value,) = yield (ReadDatabase(key),)
             self.database_reads += 1
         # Repopulate every live replica owner that missed (write-through).
         for target in targets:
             if target != served_by:
-                yield WriteBack(target, value)
+                yield (WriteBackMulti(target, ((key, value),)),)
         if armored:
             self.armor.admit(key, value, now)
         return ReplicatedOutcome(
@@ -1380,7 +1292,7 @@ class ReplicatedRetrievalEngine:
             db_keys = admitted
         db_set = frozenset(db_keys)
         if db_keys:
-            values = yield tuple(ReadDatabase(key=key) for key in db_keys)
+            values = yield tuple(ReadDatabase(key) for key in db_keys)
             for key, value in zip(db_keys, values):
                 value_of[key] = value
                 self.database_reads += 1

@@ -117,6 +117,10 @@ class Transition:
         digest = self.digests.get(server)
         if digest is None or not keys:
             return [False] * len(keys)
+        if len(keys) == 1:
+            # The one-key planner's consult: a scalar probe beats a
+            # one-element vectorized pass.
+            return [digest.contains(keys[0], hashes[0] if hashes else None)]
         bases = None
         if hashes:
             import numpy as np

@@ -60,6 +60,7 @@ from typing import (
     Awaitable,
     Callable,
     Dict,
+    Generator,
     Iterable,
     List,
     Optional,
@@ -70,20 +71,18 @@ from typing import (
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import (
-    BatchCommand,
-    CheckDigest,
+    CheckDigestMulti,
     Command,
-    FetchPath,
     FetchResult,
     FetchStats,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
     RetrievalConfig,
     RetrievalConfigMixin,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
+    WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
@@ -343,15 +342,6 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
                 "call connect()"
             )
         return pool
-
-    async def _get(
-        self,
-        server_id: int,
-        key: str,
-        deadline: Optional[Deadline] = None,
-    ) -> Optional[bytes]:
-        async with self._pool(server_id).connection(deadline) as client:
-            return await client.get(key)
 
     async def _set(
         self,
@@ -615,83 +605,10 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
-        deadline = self.resilience.new_deadline(self._clock)
-        steps = self.engine.retrieve(key, epochs, now=started)
-        result = None
-        leader: Optional[asyncio.Future] = None
-        try:
-            while True:
-                command = steps.send(result)
-                if isinstance(command, ProbeCache):
-                    server_id = command.server_id
-                    probe_started = self._clock()
-                    result = await self._cache_rpc(
-                        server_id,
-                        lambda: self._get(server_id, key, deadline),
-                        deadline,
-                    )
-                    if (
-                        self.config.hot_key_cache
-                        and result is not SERVER_UNAVAILABLE
-                    ):
-                        # Feed measured probe latency into the armor's
-                        # per-server load EWMA (the d-choices signal).
-                        self.engine.armor.loads.observe_latency(
-                            server_id, self._clock() - probe_started
-                        )
-                elif isinstance(command, CheckDigest):
-                    transition = epochs.transition
-                    result = transition is not None and transition.digest_hit(
-                        command.server_id, key, command.hashes
-                    )
-                elif isinstance(command, WaitForLeader):
-                    pending = self._inflight.get(key)
-                    if pending is None:
-                        result = False
-                    else:
-                        await asyncio.shield(pending)
-                        result = True
-                elif isinstance(command, ReadDatabase):
-                    if command.announce_leader and key not in self._inflight:
-                        leader = asyncio.get_running_loop().create_future()
-                        self._inflight[key] = leader
-                    try:
-                        result = await self.database(key)
-                    finally:
-                        if self.engine.admission is not None:
-                            # Free the admitted slot even on DB failure.
-                            finished = self._clock()
-                            self.engine.admission.db_finished(
-                                finished, completed=finished
-                            )
-                elif isinstance(command, WriteBack):
-                    server_id = command.server_id
-                    value = command.value
-                    result = await self._cache_rpc(
-                        server_id,
-                        lambda: self._set(server_id, key, value, deadline),
-                        deadline,
-                    )
-                else:  # pragma: no cover - exhaustive over Command
-                    raise ConfigurationError(
-                        f"unknown engine command: {command!r}"
-                    )
-        except StopIteration as stop:
-            outcome = stop.value
-        finally:
-            if leader is not None:
-                # Resolve only after the write-back landed (or the fetch
-                # failed), so followers re-probing the new owner find it.
-                if self._inflight.get(key) is leader:
-                    del self._inflight[key]
-                if not leader.done():
-                    leader.set_result(None)
-        return FetchResult(
-            key=key, value=outcome.value, path=outcome.path,
-            started=started, completed=self._clock(),
-            new_server=outcome.new_server, old_server=outcome.old_server,
-            degraded=outcome.degraded,
+        outcome = await self._drive(
+            self.engine.retrieve(key, epochs, now=started), epochs
         )
+        return FetchResult.from_outcome(outcome, started, self._clock())
 
     async def fetch_many(self, keys: Iterable[str]) -> Dict[str, FetchResult]:
         """Retrieve a whole key set with at most one ``get_multi`` round
@@ -705,105 +622,116 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
+        outcomes = await self._drive(
+            self.engine.retrieve_many(keys, epochs, now=started), epochs
+        )
+        completed = self._clock()
+        return {
+            key: FetchResult.from_outcome(outcome, started, completed)
+            for key, outcome in outcomes.items()
+        }
+
+    async def _drive(self, steps: Generator, epochs) -> Any:
+        """Run a planner to completion under one request deadline.
+
+        A one-command round is awaited directly (no task per command, so a
+        one-key fetch runs straight through); larger rounds run under
+        ``asyncio.gather``.  Every leader this request claims is resolved
+        on the way out — after its write-back landed, or on failure — so
+        followers re-probing the new owner find the value.
+        """
         deadline = self.resilience.new_deadline(self._clock)
-        steps = self.engine.retrieve_many(keys, epochs, now=started)
-        answers = None
         leaders: Dict[str, asyncio.Future] = {}
+        answers: Any = None
         try:
             while True:
                 round_ = steps.send(answers)
-                answers = tuple(
-                    await asyncio.gather(
+                if len(round_) == 1:
+                    answers = (
+                        await self._execute(
+                            round_[0], epochs, leaders, deadline
+                        ),
+                    )
+                else:
+                    answers = await asyncio.gather(
                         *(
-                            self._execute_batched(
-                                command, epochs, leaders, deadline
-                            )
+                            self._execute(command, epochs, leaders, deadline)
                             for command in round_
                         )
                     )
-                )
         except StopIteration as stop:
-            outcomes = stop.value
+            return stop.value
         finally:
             for key, leader in leaders.items():
                 if self._inflight.get(key) is leader:
                     del self._inflight[key]
                 if not leader.done():
                     leader.set_result(None)
-        completed = self._clock()
-        return {
-            key: FetchResult(
-                key=key, value=outcome.value, path=outcome.path,
-                started=started, completed=completed,
-                new_server=outcome.new_server, old_server=outcome.old_server,
-                degraded=outcome.degraded,
-            )
-            for key, outcome in outcomes.items()
-        }
 
-    async def _execute_batched(
+    def _claim_leader(
+        self, key: str, leaders: Dict[str, asyncio.Future]
+    ) -> None:
+        """Register this request as *key*'s in-flight DB leader."""
+        leader = asyncio.get_running_loop().create_future()
+        self._inflight[key] = leaders[key] = leader
+
+    async def _execute(
         self,
         command: Command,
         epochs,
         leaders: Dict[str, asyncio.Future],
         deadline: Optional[Deadline] = None,
-    ):
-        """Perform one batched-round command (rounds run under gather).
-
-        The batch trio dispatches on the shared :class:`BatchCommand`
-        shape (``reply_with``), not per-class checks.
-        """
-        if isinstance(command, BatchCommand):
-            server_id = command.server
-            if command.reply_with == "membership":
-                # Grouped digest consult: answered locally against the
-                # broadcast snapshot — never a wire round trip.
-                transition = epochs.transition
-                if transition is None:
-                    return [False] * len(command.keys)
-                return transition.digest_hit_many(
-                    server_id, command.keys, command.hashes
-                )
-            if command.reply_with == "values":
-                keys = command.keys
-                return await self._cache_rpc(
-                    server_id,
-                    lambda: self._get_multi(server_id, keys, deadline),
-                    deadline,
-                )
-            # reply_with == "ack": pipelined write-backs
-            items = command.items
+    ) -> Any:
+        """Perform one engine command; returns its answer."""
+        kind = type(command)
+        if kind is ProbeCacheMulti:
+            server_id, keys = command.server_id, command.keys
+            return await self._cache_rpc(
+                server_id,
+                lambda: self._get_multi(server_id, keys, deadline),
+                deadline,
+            )
+        if kind is WriteBackMulti:
+            # Pipelined write-backs: one round trip for the whole group.
+            server_id, items = command.server_id, command.items
             return await self._cache_rpc(
                 server_id,
                 lambda: self._set_multi(server_id, items, deadline),
                 deadline,
             )
-        if isinstance(command, CheckDigest):
+        if kind is CheckDigestMulti:
+            # Answered locally against the broadcast snapshot — never a
+            # wire round trip.
             transition = epochs.transition
-            return transition is not None and transition.digest_hit(
-                command.server_id, command.key, command.hashes
+            if transition is None:
+                return [False] * len(command.keys)
+            return transition.digest_hit_many(
+                command.server_id, command.keys, command.hashes
             )
-        if isinstance(command, WaitForLeader):
+        if kind is WaitForLeader:
             pending = self._inflight.get(command.key)
             if pending is None:
+                # Claim the key the moment "no leader" is answered: this
+                # request reads the DB next, and a concurrent miss must not
+                # slip into the gap before that read starts.
+                self._claim_leader(command.key, leaders)
                 return False
             await asyncio.shield(pending)
             return True
-        if isinstance(command, ReadDatabase):
+        if kind is ReadDatabase:
             key = command.key
             if command.announce_leader and key not in self._inflight:
-                leader = asyncio.get_running_loop().create_future()
-                self._inflight[key] = leader
-                leaders[key] = leader
+                self._claim_leader(key, leaders)
             try:
                 return await self.database(key)
             finally:
                 if self.engine.admission is not None:
+                    # Free the admitted slot even on DB failure.
                     finished = self._clock()
                     self.engine.admission.db_finished(
                         finished, completed=finished
                     )
-        raise ConfigurationError(f"unknown batched command: {command!r}")
+        raise ConfigurationError(f"unknown engine command: {command!r}")
 
     async def put(self, key: str, value: bytes) -> None:
         """Write-through to the authoritative owner under the new mapping."""

@@ -20,26 +20,24 @@ over live TCP.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
 from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
-    BatchCommand,
-    CheckDigest,
+    CheckDigestMulti,
     Command,
-    CommandRound,
     FetchPath,
     FetchResult,
     FetchStats,
     LeaderWindowRegistry,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
     RetrievalConfig,
     RetrievalConfigMixin,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
+    WriteBackMulti,
 )
 from repro.core.transition import RoutingEpochs
 from repro.database.cluster import DatabaseCluster
@@ -51,6 +49,37 @@ from repro.web.pool import PoolRegistry
 DEFAULT_CACHE_OP_LATENCY = 0.001
 #: Default servlet CPU overhead per request.
 DEFAULT_WEB_OVERHEAD = 0.002
+
+
+def drive_rounds(
+    steps: Generator,
+    execute: Callable[[Command, RoutingEpochs, float], Tuple[Any, float]],
+    epochs: RoutingEpochs,
+    clock: float,
+) -> Tuple[Any, float]:
+    """Run a planner to completion on a virtual clock; returns (its
+    result, end clock).
+
+    ``execute(command, epochs, start)`` returns ``(answer, end)``.  The
+    commands of a round all start at the round's base clock — they model
+    concurrent fan-out — and the round ends with its slowest command, as a
+    real multiget fan-out would.  The one-key planners yield one-command
+    rounds, so each round costs exactly its command.
+    """
+    answers: Any = None
+    try:
+        while True:
+            round_ = steps.send(answers)
+            answers = []
+            done = clock
+            for command in round_:
+                answer, end = execute(command, epochs, clock)
+                answers.append(answer)
+                if end > done:
+                    done = end
+            clock = done
+    except StopIteration as stop:
+        return stop.value, clock
 
 
 class WebServer(RetrievalConfigMixin):
@@ -136,25 +165,42 @@ class WebServer(RetrievalConfigMixin):
         """Retrieve *key*, migrating it on demand if a transition is live."""
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve(key, epochs, now=now)
-        result: Any = None
-        try:
-            while True:
-                command = steps.send(result)
-                result, clock = self._execute(command, key, epochs, clock)
-        except StopIteration as stop:
-            outcome = stop.value
-        return FetchResult(
-            key=key, value=outcome.value, path=outcome.path,
-            started=now, completed=clock,
-            new_server=outcome.new_server, old_server=outcome.old_server,
+        outcome, clock = drive_rounds(
+            self.engine.retrieve(key, epochs, now=now),
+            self._execute, epochs, clock,
         )
+        return FetchResult.from_outcome(outcome, now, clock)
+
+    def fetch_many(
+        self, keys: Iterable[str], now: float
+    ) -> Dict[str, FetchResult]:
+        """Retrieve a whole key set through the engine's batch planner.
+
+        One logical page request: probes and write-backs are grouped per
+        owning server, so the batch charges **one latency sample per server
+        touched per round** instead of one per key.  Values, paths, and
+        :class:`FetchStats` counts are identical to looping :meth:`fetch`
+        over the keys; the batch completes as a unit, so every key shares
+        the batch's completion time.
+        """
+        epochs = self.cache.routing_epochs(now)
+        clock = now + self.web_overhead.sample(self._rng)
+        outcomes, clock = drive_rounds(
+            self.engine.retrieve_many(keys, epochs, now=now),
+            self._execute, epochs, clock,
+        )
+        return {
+            key: FetchResult.from_outcome(outcome, now, clock)
+            for key, outcome in outcomes.items()
+        }
 
     def _execute(
-        self, command: Command, key: str, epochs: RoutingEpochs, clock: float
+        self, command: Command, epochs: RoutingEpochs, clock: float
     ) -> Tuple[Any, float]:
-        """Perform one engine command; returns (answer, advanced clock)."""
-        if isinstance(command, ProbeCache):
+        """Perform one engine command starting at *clock*; returns
+        (answer, completion time)."""
+        kind = type(command)
+        if kind is ProbeCacheMulti:
             server = self.cache.server(command.server_id)
             pool = self.pools.pool(f"cache:{command.server_id}")
             clock += pool.acquire()
@@ -165,24 +211,17 @@ class WebServer(RetrievalConfigMixin):
                 # the engine degrades around the dead server.
                 pool.discard()
                 return SERVER_UNAVAILABLE, clock
-            value = server.get(key, clock)
+            hits = {}
+            for key in command.keys:
+                value = server.get(key, clock)
+                if value is not None:
+                    hits[key] = value
             pool.release()
-            return value, clock
-        if isinstance(command, CheckDigest):
-            transition = epochs.transition
-            hit = transition is not None and transition.digest_hit(
-                command.server_id, key, command.hashes
-            )
-            return hit, clock
-        if isinstance(command, WaitForLeader):
-            leader_done = self._leaders.leader_done(key, clock)
-            if leader_done is None:
-                return False, clock
-            return True, leader_done
-        if isinstance(command, ReadDatabase):
+            return hits, clock
+        if kind is ReadDatabase:
             db_pool = self.pools.pool("database")
             clock += db_pool.acquire()
-            response = self.database.get(key, clock)
+            response = self.database.get(command.key, clock)
             db_pool.release()
             clock = response.completion_time
             if self.engine.admission is not None:
@@ -192,126 +231,33 @@ class WebServer(RetrievalConfigMixin):
             if command.announce_leader:
                 # Followers arriving before the write-back lands coalesce.
                 self._leaders.announce(
-                    key, clock + 2 * self.cache_latency.mean, now=clock
+                    command.key, clock + 2 * self.cache_latency.mean, now=clock
                 )
             return response.value, clock
-        if isinstance(command, WriteBack):
+        if kind is WriteBackMulti:
+            # Pipelined write-backs: one round trip for the whole group.
             clock = self._cache_op(clock)
             server = self.cache.server(command.server_id)
-            if not server.state.serves_requests:
-                return SERVER_UNAVAILABLE, clock
-            server.set(key, command.value, now=clock)
-            return None, clock
-        raise ConfigurationError(f"unknown engine command: {command!r}")
-
-    # ------------------------------------------------------ batched fetches
-
-    def fetch_many(
-        self, keys: Iterable[str], now: float
-    ) -> Dict[str, FetchResult]:
-        """Retrieve a whole key set through the engine's batch planner.
-
-        One logical page request: probes and write-backs are grouped per
-        owning server, so the batch charges **one latency sample per server
-        touched per round** instead of one per key — commands within a
-        round model concurrent fan-out (the clock advances by the slowest
-        command of the round, as a real multiget fan-out would).  Values,
-        paths, and :class:`FetchStats` counts are identical to looping
-        :meth:`fetch` over the keys; the batch completes as a unit, so
-        every key shares the batch's completion time.
-        """
-        epochs = self.cache.routing_epochs(now)
-        clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve_many(keys, epochs, now=now)
-        answers: Any = None
-        try:
-            while True:
-                round_ = steps.send(answers)
-                results = []
-                done_times = []
-                for command in round_:
-                    answer, done = self._execute_batched(command, epochs, clock)
-                    results.append(answer)
-                    done_times.append(done)
-                if done_times:
-                    clock = max(done_times)
-                answers = tuple(results)
-        except StopIteration as stop:
-            outcomes = stop.value
-        return {
-            key: FetchResult(
-                key=key, value=outcome.value, path=outcome.path,
-                started=now, completed=clock,
-                new_server=outcome.new_server, old_server=outcome.old_server,
-            )
-            for key, outcome in outcomes.items()
-        }
-
-    def _execute_batched(
-        self, command: Command, epochs: RoutingEpochs, clock: float
-    ) -> Tuple[Any, float]:
-        """Perform one batched-round command starting at *clock*; returns
-        (answer, completion time).  Commands in a round all start at the
-        round's base clock — they run concurrently.  The batch trio
-        dispatches on the shared :class:`BatchCommand` shape
-        (``reply_with``), not per-class checks."""
-        if isinstance(command, BatchCommand):
-            if command.reply_with == "membership":
-                # Grouped digest consult: local bit tests against the
-                # broadcast snapshot — no round trip, no clock charge.
-                transition = epochs.transition
-                if transition is None:
-                    return [False] * len(command.keys), clock
-                return (
-                    transition.digest_hit_many(
-                        command.server, command.keys, command.hashes
-                    ),
-                    clock,
-                )
-            server = self.cache.server(command.server)
-            if command.reply_with == "values":
-                pool = self.pools.pool(f"cache:{command.server}")
-                clock += pool.acquire()
-                clock = self._cache_op(clock)
-                if not server.state.serves_requests:
-                    pool.discard()
-                    return SERVER_UNAVAILABLE, clock
-                hits = {}
-                for key in command.keys:
-                    value = server.get(key, clock)
-                    if value is not None:
-                        hits[key] = value
-                pool.release()
-                return hits, clock
-            # reply_with == "ack": pipelined write-backs
-            clock = self._cache_op(clock)
             if not server.state.serves_requests:
                 return SERVER_UNAVAILABLE, clock
             for key, value in command.items:
                 server.set(key, value, now=clock)
             return None, clock
-        if isinstance(command, CheckDigest):
+        if kind is CheckDigestMulti:
+            # Local bit tests against the broadcast snapshot — no round
+            # trip, no clock charge.
             transition = epochs.transition
-            hit = transition is not None and transition.digest_hit(
-                command.server_id, command.key, command.hashes
+            if transition is None:
+                return [False] * len(command.keys), clock
+            return (
+                transition.digest_hit_many(
+                    command.server_id, command.keys, command.hashes
+                ),
+                clock,
             )
-            return hit, clock
-        if isinstance(command, WaitForLeader):
+        if kind is WaitForLeader:
             leader_done = self._leaders.leader_done(command.key, clock)
             if leader_done is None:
                 return False, clock
             return True, leader_done
-        if isinstance(command, ReadDatabase):
-            db_pool = self.pools.pool("database")
-            clock += db_pool.acquire()
-            response = self.database.get(command.key, clock)
-            db_pool.release()
-            clock = response.completion_time
-            if self.engine.admission is not None:
-                self.engine.admission.db_finished(clock, completed=clock)
-            if command.announce_leader:
-                self._leaders.announce(
-                    command.key, clock + 2 * self.cache_latency.mean, now=clock
-                )
-            return response.value, clock
-        raise ConfigurationError(f"unknown batched command: {command!r}")
+        raise ConfigurationError(f"unknown engine command: {command!r}")

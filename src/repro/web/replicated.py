@@ -31,20 +31,25 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.cache.cluster import CacheCluster
 from repro.core.replication import ReplicatedProteusRouter
 from repro.core.retrieval import (
-    BatchCommand,
     Command,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
+    ReplicatedOutcome,
     ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalConfigMixin,
     SKIPPED,
-    WriteBack,
+    WriteBackMulti,
 )
+from repro.core.transition import RoutingEpochs
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.sim.latency import Constant, LatencyModel
-from repro.web.frontend import DEFAULT_CACHE_OP_LATENCY, DEFAULT_WEB_OVERHEAD
+from repro.web.frontend import (
+    DEFAULT_CACHE_OP_LATENCY,
+    DEFAULT_WEB_OVERHEAD,
+    drive_rounds,
+)
 
 
 @dataclass
@@ -64,10 +69,21 @@ class ReplicatedFetchResult:
     #: True when the frontend-local hot-key cache served (no probes)
     local: bool = False
 
+    @classmethod
+    def from_outcome(
+        cls, outcome: ReplicatedOutcome, started: float, completed: float
+    ) -> "ReplicatedFetchResult":
+        """Stamp an engine outcome with the driver's start/end times."""
+        return cls(
+            key=outcome.key, value=outcome.value, started=started,
+            completed=completed, served_by=outcome.served_by,
+            probes=outcome.probes, touched_database=outcome.touched_database,
+            local=outcome.local,
+        )
+
     @property
     def latency(self) -> float:
         return self.completed - self.started
-
 
 class ReplicatedWebServer(RetrievalConfigMixin):
     """Algorithm-2-style retrieval over ``r`` replica rings with failover."""
@@ -117,49 +133,15 @@ class ReplicatedWebServer(RetrievalConfigMixin):
         """Read *key* from the first live replica, else the database."""
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve(
-            key, epochs, failed=self.cache.failed_servers(), now=now
+        # One command per round, write-backs included: a fetch's time is
+        # the sum of its commands.
+        outcome, clock = drive_rounds(
+            self.engine.retrieve(
+                key, epochs, failed=self.cache.failed_servers(), now=now
+            ),
+            self._execute, epochs, clock,
         )
-        result: Any = None
-        try:
-            while True:
-                command = steps.send(result)
-                if isinstance(command, ProbeCache):
-                    server = self.cache.server(command.server_id)
-                    if not server.state.serves_requests:
-                        result = SKIPPED
-                        continue
-                    sample = self.cache_latency.sample(self._rng)
-                    clock += sample
-                    if self.hot_key_cache:
-                        # Feed the observed per-probe latency into the
-                        # armor's load EWMA (the d-choices signal).
-                        self.engine.armor.loads.observe_latency(
-                            command.server_id, sample
-                        )
-                    result = server.get(key, clock)
-                elif isinstance(command, ReadDatabase):
-                    response = self.database.get(key, clock)
-                    clock = response.completion_time
-                    result = response.value
-                elif isinstance(command, WriteBack):
-                    server = self.cache.server(command.server_id)
-                    if server.state.serves_requests:
-                        clock += self.cache_latency.sample(self._rng)
-                        server.set(key, command.value, now=clock)
-                    result = None
-                else:  # pragma: no cover - replicated reads use three commands
-                    raise ConfigurationError(
-                        f"unexpected engine command: {command!r}"
-                    )
-        except StopIteration as stop:
-            outcome = stop.value
-        return ReplicatedFetchResult(
-            key=key, value=outcome.value, started=now, completed=clock,
-            served_by=outcome.served_by, probes=outcome.probes,
-            touched_database=outcome.touched_database,
-            local=outcome.local,
-        )
+        return ReplicatedFetchResult.from_outcome(outcome, now, clock)
 
     def fetch_many(
         self, keys: Iterable[str], now: float
@@ -168,69 +150,52 @@ class ReplicatedWebServer(RetrievalConfigMixin):
         round; outcomes match looping :meth:`fetch` over the keys."""
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve_many(
-            keys, epochs, failed=self.cache.failed_servers(), now=now
+        outcomes, clock = drive_rounds(
+            self.engine.retrieve_many(
+                keys, epochs, failed=self.cache.failed_servers(), now=now
+            ),
+            self._execute, epochs, clock,
         )
-        answers: Any = None
-        try:
-            while True:
-                round_ = steps.send(answers)
-                results = []
-                done_times = []
-                for command in round_:
-                    answer, done = self._execute_batched(command, clock)
-                    results.append(answer)
-                    done_times.append(done)
-                if done_times:
-                    clock = max(done_times)
-                answers = tuple(results)
-        except StopIteration as stop:
-            outcomes = stop.value
         return {
-            key: ReplicatedFetchResult(
-                key=key, value=outcome.value, started=now, completed=clock,
-                served_by=outcome.served_by, probes=outcome.probes,
-                touched_database=outcome.touched_database,
-                local=outcome.local,
-            )
+            key: ReplicatedFetchResult.from_outcome(outcome, now, clock)
             for key, outcome in outcomes.items()
         }
 
-    def _execute_batched(
-        self, command: Command, clock: float
+    def _execute(
+        self, command: Command, epochs: RoutingEpochs, clock: float
     ) -> Tuple[Any, float]:
-        """Perform one batched-round command; returns (answer, done time).
-
-        The batch trio dispatches on the shared :class:`BatchCommand`
-        shape (``reply_with``), not per-class checks.
-        """
-        if isinstance(command, BatchCommand):
-            server = self.cache.server(command.server)
-            if command.reply_with == "values":
-                if not server.state.serves_requests:
-                    return SKIPPED, clock
-                sample = self.cache_latency.sample(self._rng)
-                clock += sample
-                if self.hot_key_cache:
-                    self.engine.armor.loads.observe_latency(
-                        command.server, sample
-                    )
-                hits = {}
-                for key in command.keys:
-                    value = server.get(key, clock)
-                    if value is not None:
-                        hits[key] = value
-                return hits, clock
-            if command.reply_with == "ack":
-                if server.state.serves_requests:
-                    clock += self.cache_latency.sample(self._rng)
-                    for key, value in command.items:
-                        server.set(key, value, now=clock)
-                return None, clock
-        if isinstance(command, ReadDatabase):
+        """Perform one engine command; returns (answer, done time).  The
+        replicated planners consult no digest, so *epochs* is unused."""
+        kind = type(command)
+        if kind is ProbeCacheMulti:
+            server = self.cache.server(command.server_id)
+            if not server.state.serves_requests:
+                return SKIPPED, clock
+            sample = self.cache_latency.sample(self._rng)
+            clock += sample
+            if self.hot_key_cache:
+                # Feed the observed per-probe latency into the armor's
+                # load EWMA (the d-choices signal).
+                self.engine.armor.loads.observe_latency(
+                    command.server_id, sample
+                )
+            hits = {}
+            for key in command.keys:
+                value = server.get(key, clock)
+                if value is not None:
+                    hits[key] = value
+            return hits, clock
+        if kind is WriteBackMulti:
+            server = self.cache.server(command.server_id)
+            if server.state.serves_requests:
+                clock += self.cache_latency.sample(self._rng)
+                for key, value in command.items:
+                    server.set(key, value, now=clock)
+            return None, clock
+        if kind is ReadDatabase:
             response = self.database.get(command.key, clock)
             return response.value, response.completion_time
-        raise ConfigurationError(f"unexpected batched command: {command!r}")
+        raise ConfigurationError(f"unexpected engine command: {command!r}")
 
     def put(self, key: str, value: Any, now: float) -> List[int]:
         """Write *key* to every live distinct replica owner; returns them."""

@@ -12,17 +12,14 @@ import pytest
 from repro.bloom import BloomFilter, KeyHashes
 from repro.core.replication import ReplicatedProteusRouter
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalEngine,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -38,7 +35,7 @@ ARMORED = dict(hot_key_cache=True, hot_key_ttl=1.0)
 
 
 class DictDriver:
-    """Answers scalar and batched commands from plain dict state."""
+    """Answers engine rounds from plain dict state."""
 
     def __init__(self, stores=None, db=None, digests=None):
         self.stores = stores or {}
@@ -47,14 +44,8 @@ class DictDriver:
         self.trace = []
 
     def scalar(self, generator, key):
-        result = None
-        try:
-            while True:
-                command = generator.send(result)
-                self.trace.append(command)
-                result = self._answer(command, key)
-        except StopIteration as stop:
-            return stop.value
+        """Drive the one-key planner: same rounds, one command each."""
+        return self.batch(generator)
 
     def batch(self, generator):
         answers = None
@@ -66,26 +57,17 @@ class DictDriver:
         except StopIteration as stop:
             return stop.value
 
-    def _answer(self, command, key=None):
-        # Scalar commands carry no key (the retrieval is single-key);
-        # batched commands name their own.
-        if isinstance(command, ProbeCache):
-            return self.stores.get(command.server_id, {}).get(key)
+    def _answer(self, command):
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
             return {k: store[k] for k in command.keys if k in store}
-        if isinstance(command, CheckDigest):
-            return key in self.digests.get(command.server_id, ())
         if isinstance(command, CheckDigestMulti):
             digest = self.digests.get(command.server_id, ())
             return [k in digest for k in command.keys]
         if isinstance(command, WaitForLeader):
             return False
         if isinstance(command, ReadDatabase):
-            return self.db[key if key is not None else command.key]
-        if isinstance(command, WriteBack):
-            self.stores.setdefault(command.server_id, {})[key] = command.value
-            return None
+            return self.db[command.key]
         if isinstance(command, WriteBackMulti):
             store = self.stores.setdefault(command.server_id, {})
             for k, value in command.items:
@@ -211,8 +193,6 @@ class TestGroupedDigestProbes:
         grouped = {c.server_id: set(c.keys) for c in digest_probes}
         for key in keys:
             assert key in grouped[ROUTER.route(key, 4)]
-        # And no scalar digest consults leak into the batch plan.
-        assert not any(isinstance(c, CheckDigest) for c in driver.trace)
 
     def test_digest_multi_bit_identical_to_scalar(self):
         digest = BloomFilter(256, 4)
@@ -281,15 +261,15 @@ class TestPowerOfTwoChoices:
         probed = []
 
         def drive(generator):
-            result = None
+            answers = None
             try:
                 while True:
-                    command = generator.send(result)
-                    if isinstance(command, ProbeCache):
+                    (command,) = generator.send(answers)
+                    if isinstance(command, ProbeCacheMulti):
                         probed.append(command.server_id)
-                        result = "value"
-                    elif isinstance(command, WriteBack):
-                        result = None  # replica repopulation
+                        answers = ({key: "value"},)
+                    elif isinstance(command, WriteBackMulti):
+                        answers = (None,)  # replica repopulation
                     else:
                         raise AssertionError(f"unexpected {command!r}")
             except StopIteration as stop:
@@ -315,16 +295,16 @@ class TestPowerOfTwoChoices:
         probed = []
 
         def drive(generator):
-            result = None
+            answers = None
             try:
                 while True:
-                    command = generator.send(result)
-                    if isinstance(command, WriteBack):
-                        result = None  # replica repopulation
+                    (command,) = generator.send(answers)
+                    if isinstance(command, WriteBackMulti):
+                        answers = (None,)  # replica repopulation
                         continue
-                    assert isinstance(command, ProbeCache)
+                    assert isinstance(command, ProbeCacheMulti)
                     probed.append(command.server_id)
-                    result = "value"
+                    answers = ({key: "value"},)
             except StopIteration as stop:
                 return stop.value
 

@@ -6,12 +6,10 @@ branch logic is testable without any substrate at all.
 """
 
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
     FetchStats,
     LeaderWindowRegistry,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     ReplicatedRetrievalEngine,
@@ -19,7 +17,6 @@ from repro.core.retrieval import (
     RetrievalEngine,
     SKIPPED,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -27,7 +24,8 @@ from repro.core.transition import RoutingEpochs, Transition
 
 
 class ScriptedDriver:
-    """Answers engine commands from a scripted table, recording the trace."""
+    """Answers the one-key planner's one-command rounds from a scripted
+    table, recording the trace."""
 
     def __init__(self, answers):
         #: list of (command_type, answer); consumed in order
@@ -35,16 +33,16 @@ class ScriptedDriver:
         self.trace = []
 
     def run(self, generator):
-        result = None
+        answers = None
         try:
             while True:
-                command = generator.send(result)
+                (command,) = generator.send(answers)
                 self.trace.append(command)
                 expected_type, answer = self.answers.pop(0)
                 assert isinstance(command, expected_type), (
                     f"expected {expected_type.__name__}, engine yielded {command!r}"
                 )
-                result = answer
+                answers = (answer,)
         except StopIteration as stop:
             return stop.value
 
@@ -72,24 +70,24 @@ def remapped_key():
 class TestUnreplicatedPaths:
     def test_hit_new_is_one_probe_no_writeback(self):
         engine = RetrievalEngine(ROUTER)
-        driver = ScriptedDriver([(ProbeCache, "value")])
+        driver = ScriptedDriver([(ProbeCacheMulti, {KEY: "value"})])
         outcome = driver.run(engine.retrieve(KEY, STEADY))
         assert outcome.path is FetchPath.HIT_NEW
         assert outcome.value == "value"
         assert outcome.new_server == NEW_ID
         assert outcome.old_server is None
         assert not outcome.touched_database
-        assert driver.trace == [ProbeCache(NEW_ID)]
+        assert driver.trace == [ProbeCacheMulti(NEW_ID, (KEY,))]
 
     def test_miss_outside_transition_goes_to_db(self):
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, {}), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
         outcome = driver.run(engine.retrieve(KEY, STEADY))
         assert outcome.path is FetchPath.MISS_DB
         assert outcome.touched_database
-        assert driver.trace[-1] == WriteBack(NEW_ID, "db")
+        assert driver.trace[-1] == WriteBackMulti(NEW_ID, ((KEY, "db"),))
 
     def test_hit_old_pulls_from_old_owner_and_writes_back(self):
         key = remapped_key()
@@ -97,20 +95,20 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, True),
-                (ProbeCache, "hot"),
-                (WriteBack, None),
+                (ProbeCacheMulti, {}),
+                (CheckDigestMulti, [True]),
+                (ProbeCacheMulti, {key: "hot"}),
+                (WriteBackMulti, None),
             ]
         )
         outcome = driver.run(engine.retrieve(key, DRAINING))
         assert outcome.path is FetchPath.HIT_OLD
         assert outcome.old_server == old_id
         assert driver.trace == [
-            ProbeCache(new_id),
-            CheckDigest(old_id),
-            ProbeCache(old_id),
-            WriteBack(new_id, "hot"),
+            ProbeCacheMulti(new_id, (key,)),
+            CheckDigestMulti(old_id, (key,)),
+            ProbeCacheMulti(old_id, (key,)),
+            WriteBackMulti(new_id, ((key, "hot"),)),
         ]
 
     def test_digest_false_positive_classified(self):
@@ -118,11 +116,11 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, True),
-                (ProbeCache, None),  # old owner misses: digest lied
+                (ProbeCacheMulti, {}),
+                (CheckDigestMulti, [True]),
+                (ProbeCacheMulti, {}),  # old owner misses: digest lied
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
         outcome = driver.run(engine.retrieve(key, DRAINING))
@@ -134,10 +132,10 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, False),
+                (ProbeCacheMulti, {}),
+                (CheckDigestMulti, [False]),
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
         outcome = driver.run(engine.retrieve(key, DRAINING))
@@ -150,30 +148,34 @@ class TestUnreplicatedPaths:
                 break
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, {}), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
         outcome = driver.run(engine.retrieve(key, DRAINING))
         assert outcome.path is FetchPath.MISS_DB
-        assert not any(isinstance(c, CheckDigest) for c in driver.trace)
+        assert not any(isinstance(c, CheckDigestMulti) for c in driver.trace)
 
     def test_coalesced_follower_skips_db_and_writeback(self):
         engine = RetrievalEngine(ROUTER, coalesce_misses=True)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (WaitForLeader, True), (ProbeCache, "installed")]
+            [
+                (ProbeCacheMulti, {}),
+                (WaitForLeader, True),
+                (ProbeCacheMulti, {KEY: "installed"}),
+            ]
         )
         outcome = driver.run(engine.retrieve(KEY, STEADY))
         assert outcome.path is FetchPath.COALESCED
         assert not any(isinstance(c, ReadDatabase) for c in driver.trace)
-        assert not any(isinstance(c, WriteBack) for c in driver.trace)
+        assert not any(isinstance(c, WriteBackMulti) for c in driver.trace)
 
     def test_no_leader_becomes_leader_and_announces(self):
         engine = RetrievalEngine(ROUTER, coalesce_misses=True)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
+                (ProbeCacheMulti, {}),
                 (WaitForLeader, False),
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
         outcome = driver.run(engine.retrieve(KEY, STEADY))
@@ -186,11 +188,11 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER, coalesce_misses=True)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
+                (ProbeCacheMulti, {}),
                 (WaitForLeader, True),
-                (ProbeCache, None),
+                (ProbeCacheMulti, {}),
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
         outcome = driver.run(engine.retrieve(KEY, STEADY))
@@ -199,7 +201,7 @@ class TestUnreplicatedPaths:
     def test_no_wait_command_when_coalescing_disabled(self):
         engine = RetrievalEngine(ROUTER, coalesce_misses=False)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, {}), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
         driver.run(engine.retrieve(KEY, STEADY))
         read = next(c for c in driver.trace if isinstance(c, ReadDatabase))
@@ -207,9 +209,11 @@ class TestUnreplicatedPaths:
 
     def test_stats_accumulate_across_retrievals(self):
         engine = RetrievalEngine(ROUTER)
-        ScriptedDriver([(ProbeCache, "v")]).run(engine.retrieve(KEY, STEADY))
+        ScriptedDriver([(ProbeCacheMulti, {KEY: "v"})]).run(
+            engine.retrieve(KEY, STEADY)
+        )
         ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, {}), (ReadDatabase, "db"), (WriteBackMulti, None)]
         ).run(engine.retrieve(KEY, STEADY))
         assert engine.stats.counts[FetchPath.HIT_NEW] == 1
         assert engine.stats.counts[FetchPath.MISS_DB] == 1
@@ -226,11 +230,11 @@ class TestUnreplicatedPaths:
 
 
 class StoreDriver:
-    """Executes engine commands against dict-backed stores.
+    """Executes engine rounds against dict-backed stores.
 
-    Answers both the single-key command set (:meth:`run_single`) and the
-    batched round protocol (:meth:`run_batch`), so the same cluster state
-    can drive ``retrieve`` and ``retrieve_many`` for equivalence checks.
+    Both planners speak the same round protocol, so one :meth:`run_batch`
+    drives ``retrieve`` and ``retrieve_many`` from the same cluster state
+    for equivalence checks.
     """
 
     def __init__(self, stores, db, digests=None, leaders=()):
@@ -243,32 +247,6 @@ class StoreDriver:
         self.leaders = set(leaders)
         self.rounds = []
 
-    def _lookup(self, server_id, key):
-        return self.stores.get(server_id, {}).get(key)
-
-    def run_single(self, generator, key):
-        result = None
-        try:
-            while True:
-                command = generator.send(result)
-                if isinstance(command, ProbeCache):
-                    result = self._lookup(command.server_id, key)
-                elif isinstance(command, CheckDigest):
-                    result = key in self.digests.get(command.server_id, ())
-                elif isinstance(command, WaitForLeader):
-                    result = key in self.leaders
-                elif isinstance(command, ReadDatabase):
-                    result = self.db[key]
-                elif isinstance(command, WriteBack):
-                    self.stores.setdefault(command.server_id, {})[key] = (
-                        command.value
-                    )
-                    result = None
-                else:
-                    raise AssertionError(f"unexpected command {command!r}")
-        except StopIteration as stop:
-            return stop.value
-
     def _answer(self, command):
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
@@ -276,8 +254,6 @@ class StoreDriver:
         if isinstance(command, CheckDigestMulti):
             digest = self.digests.get(command.server_id, ())
             return [key in digest for key in command.keys]
-        if isinstance(command, CheckDigest):
-            return command.key in self.digests.get(command.server_id, ())
         if isinstance(command, WaitForLeader):
             return command.key in self.leaders
         if isinstance(command, ReadDatabase):
@@ -360,9 +336,7 @@ class TestBatchPlanner:
         seq_engine = RetrievalEngine(ROUTER)
         seq_driver = StoreDriver(stores, db, digests)
         sequential = {
-            key: seq_driver.run_single(
-                seq_engine.retrieve(key, DRAINING), key
-            )
+            key: seq_driver.run_batch(seq_engine.retrieve(key, DRAINING))
             for key in keys
         }
 
@@ -462,7 +436,7 @@ class TestBatchPlanner:
         seq_engine = ReplicatedRetrievalEngine(router)
         seq_driver = StoreDriver(stores, db)
         sequential = {
-            key: seq_driver.run_single(seq_engine.retrieve(key, epochs), key)
+            key: seq_driver.run_batch(seq_engine.retrieve(key, epochs))
             for key in keys
         }
 
@@ -491,8 +465,8 @@ class TestReplicatedEngine:
     def test_primary_hit_no_failover(self):
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
-        answers = [(ProbeCache, "v")] + [
-            (WriteBack, None) for _ in targets[1:]
+        answers = [(ProbeCacheMulti, {KEY: "v"})] + [
+            (WriteBackMulti, None) for _ in targets[1:]
         ]
         driver = ScriptedDriver(answers)
         outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
@@ -506,8 +480,8 @@ class TestReplicatedEngine:
         targets = engine.router.read_targets(KEY, 4)
         assert len(targets) >= 2
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ProbeCache, "v")]
-            + [(WriteBack, None)] * (len(targets) - 1)
+            [(ProbeCacheMulti, {}), (ProbeCacheMulti, {KEY: "v"})]
+            + [(WriteBackMulti, None)] * (len(targets) - 1)
         )
         outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
         assert outcome.served_by == targets[1]
@@ -518,8 +492,8 @@ class TestReplicatedEngine:
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
         driver = ScriptedDriver(
-            [(ProbeCache, SKIPPED), (ProbeCache, "v")]
-            + [(WriteBack, None)] * (len(targets) - 1)
+            [(ProbeCacheMulti, SKIPPED), (ProbeCacheMulti, {KEY: "v"})]
+            + [(WriteBackMulti, None)] * (len(targets) - 1)
         )
         outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
         assert outcome.probes == 1
@@ -528,15 +502,17 @@ class TestReplicatedEngine:
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
         driver = ScriptedDriver(
-            [(ProbeCache, None)] * len(targets)
+            [(ProbeCacheMulti, {})] * len(targets)
             + [(ReadDatabase, "db")]
-            + [(WriteBack, None)] * len(targets)
+            + [(WriteBackMulti, None)] * len(targets)
         )
         outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
         assert outcome.touched_database
         assert outcome.served_by is None
         assert engine.database_reads == 1
-        written = [c.server_id for c in driver.trace if isinstance(c, WriteBack)]
+        written = [
+            c.server_id for c in driver.trace if isinstance(c, WriteBackMulti)
+        ]
         assert written == targets
 
 

@@ -12,16 +12,13 @@ between ``retrieve`` and ``retrieve_many``.
 import dataclasses
 
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -55,8 +52,9 @@ OLD_ID = ROUTER.route(KEY, 4)
 class FaultySubstrate:
     """A pure in-memory substrate with a per-server health map.
 
-    Drives both the scalar and the batch generator from the *same* state,
-    which is what makes the scalar-vs-batch parity assertions meaningful.
+    Drives both the scalar and the batch generator from the *same* state
+    and the same round executor, which is what makes the scalar-vs-batch
+    parity assertions meaningful.
     """
 
     def __init__(self, down=(), digest_down=(), digest_yes=(), stores=None):
@@ -71,38 +69,12 @@ class FaultySubstrate:
         return self.stores.get(server_id, {}).get(key)
 
     def scalar(self, engine, key, epochs):
-        gen = engine.retrieve(key, epochs)
-        result = None
-        try:
-            while True:
-                command = gen.send(result)
-                result = self._answer_scalar(command, key)
-        except StopIteration as stop:
-            return stop.value
-
-    def _answer_scalar(self, command, key):
-        if isinstance(command, ProbeCache):
-            if command.server_id in self.down:
-                return SERVER_UNAVAILABLE
-            return self._value(command.server_id, key)
-        if isinstance(command, CheckDigest):
-            if command.server_id in self.digest_down:
-                return SERVER_UNAVAILABLE
-            return key in self.digest_yes
-        if isinstance(command, WaitForLeader):
-            return False
-        if isinstance(command, ReadDatabase):
-            self.db_reads.append(key)
-            return f"db:{key}"
-        if isinstance(command, WriteBack):
-            if command.server_id in self.down:
-                return SERVER_UNAVAILABLE
-            self.written.append((command.server_id, key))
-            return None
-        raise AssertionError(f"unexpected command {command!r}")
+        return self._drive(engine.retrieve(key, epochs))
 
     def batch(self, engine, keys, epochs):
-        gen = engine.retrieve_many(keys, epochs)
+        return self._drive(engine.retrieve_many(keys, epochs))
+
+    def _drive(self, gen):
         answers = None
         try:
             while True:
@@ -133,13 +105,9 @@ class FaultySubstrate:
             if command.server_id in self.digest_down:
                 return SERVER_UNAVAILABLE
             return [key in self.digest_yes for key in command.keys]
-        if isinstance(command, (CheckDigest, WaitForLeader, ReadDatabase)):
-            if isinstance(command, CheckDigest):
-                if command.server_id in self.digest_down:
-                    return SERVER_UNAVAILABLE
-                return command.key in self.digest_yes
-            if isinstance(command, WaitForLeader):
-                return False
+        if isinstance(command, WaitForLeader):
+            return False
+        if isinstance(command, ReadDatabase):
             self.db_reads.append(command.key)
             return f"db:{command.key}"
         raise AssertionError(f"unexpected command {command!r}")
@@ -201,10 +169,10 @@ class TestScalarDegradedPaths:
         substrate.down = set()  # probes healthy...
 
         class WritebackDown(FaultySubstrate):
-            def _answer_scalar(self, command, key):
-                if isinstance(command, WriteBack):
+            def _answer_batched(self, command):
+                if isinstance(command, WriteBackMulti):
                     return SERVER_UNAVAILABLE
-                return super()._answer_scalar(command, key)
+                return super()._answer_batched(command)
 
         substrate = WritebackDown()
         outcome = substrate.scalar(engine, KEY, STEADY)

@@ -52,7 +52,8 @@ async def database(key):
 
 
 def run_sim(schedule, transition_to=None):
-    """Warm, apply *schedule* as crash events, refetch; return stats."""
+    """Warm, apply *schedule* as crash events, refetch; return the stats
+    and each refetched key's (path, degraded) pair."""
     cache = CacheCluster(
         ProteusRouter(N_SERVERS),
         capacity_bytes=4096 * 2000,
@@ -72,10 +73,12 @@ def run_sim(schedule, transition_to=None):
     for event in failure_events_from_schedule(schedule):
         cache.fail_server(event.server_id, event.when)
     now = FAULT_AT + 0.1
+    flags = {}
     for key in KEYS:
-        web.fetch(key, now=now)
+        result = web.fetch(key, now=now)
+        flags[key] = (result.path, result.degraded)
         now += 0.01
-    return web.stats
+    return web.stats, flags
 
 
 async def run_live(schedule, transition_to=None):
@@ -100,10 +103,12 @@ async def run_live(schedule, transition_to=None):
             await web.scale_to(transition_to, ttl=60.0)
         for server_id, plan in schedule.plans_at(FAULT_AT + 0.1).items():
             proxies[server_id].set_plan(plan)
+        flags = {}
         for key in KEYS:
             result = await web.fetch(key)
             assert result.value == value_of(key)
-        return web.stats
+            flags[key] = (result.path, result.degraded)
+        return web.stats, flags
     finally:
         await web.close()
         for proxy in proxies:
@@ -112,7 +117,10 @@ async def run_live(schedule, transition_to=None):
             await server.stop()
 
 
-def assert_parity(sim_stats, live_stats):
+def assert_parity(sim, live):
+    (sim_stats, sim_flags), (live_stats, live_flags) = sim, live
+    # Per key: the same path and the same served-around-a-fault flag.
+    assert sim_flags == live_flags
     assert sim_stats.counts == live_stats.counts
     assert sim_stats.degraded == live_stats.degraded
     assert sim_stats.degraded_events == live_stats.degraded_events
@@ -124,10 +132,11 @@ class TestDegradedParity:
         # Kill server 0 after warming: its keys degrade to the database
         # (probe skipped, write-back skipped) on both substrates.
         schedule = schedule_killing(0)
-        sim_stats = run_sim(schedule)
-        live_stats = run(run_live(schedule))
-        assert_parity(sim_stats, live_stats)
+        sim = run_sim(schedule)
+        assert_parity(sim, run(run_live(schedule)))
+        sim_stats, sim_flags = sim
         assert sim_stats.counts["degraded_db"] > 0
+        assert any(degraded for _, degraded in sim_flags.values())
         assert sim_stats.degraded["probe_new"] > 0
         assert sim_stats.degraded["writeback"] > 0
 
@@ -137,9 +146,9 @@ class TestDegradedParity:
         # degrades to the database while the write-back still installs
         # the value at the healthy new owner.
         schedule = schedule_killing(2)
-        sim_stats = run_sim(schedule, transition_to=2)
-        live_stats = run(run_live(schedule, transition_to=2))
-        assert_parity(sim_stats, live_stats)
+        sim = run_sim(schedule, transition_to=2)
+        assert_parity(sim, run(run_live(schedule, transition_to=2)))
+        sim_stats, _ = sim
         assert sim_stats.degraded["probe_old"] > 0
         assert sim_stats.counts["degraded_db"] > 0
 
@@ -147,7 +156,7 @@ class TestDegradedParity:
         # An empty schedule maps to zero crash events and benign proxies:
         # both substrates must report zero degraded activity.
         schedule = FaultSchedule()
-        sim_stats = run_sim(schedule)
-        live_stats = run(run_live(schedule))
-        assert_parity(sim_stats, live_stats)
+        sim = run_sim(schedule)
+        assert_parity(sim, run(run_live(schedule)))
+        sim_stats, _ = sim
         assert sim_stats.degraded_events == 0

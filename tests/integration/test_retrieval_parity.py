@@ -10,6 +10,8 @@ hit-new, hit-old, digest false positive, miss, and coalesced.
 
 import asyncio
 
+import pytest
+
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
@@ -244,6 +246,51 @@ class TestFetchPathParity:
         assert sorted(sim_paths) == sorted(live_paths)
         assert sim_paths.count(FetchPath.MISS_DB) == 1
         assert sim_paths.count(FetchPath.COALESCED) == 4
+
+    @pytest.mark.parametrize("own_keys", [False, True])
+    def test_coalesced_batch_storm_costs_one_db_read(self, own_keys):
+        # Five concurrent pages ask for "hot" — alone, or next to a
+        # page-private key so every round fans out under gather.  Their
+        # first probes are held until all have answered, so every page
+        # reaches WaitForLeader together: the first page to find no leader
+        # must claim the key at once, or another page slips into the gap
+        # before its DB read starts and reads the DB too.
+        pages = [["hot", f"own:{i}"] if own_keys else ["hot"] for i in range(5)]
+        router = ProteusRouter(NUM_SERVERS)
+        first_probes = sum(
+            len({router.route(key, NUM_SERVERS) for key in page})
+            for page in pages
+        )
+
+        async def body():
+            live = await LiveSubstrate(coalesce=True).start()
+            gate = asyncio.Event()
+            answered = 0
+            get_multi = live.web._get_multi
+
+            async def held(server_id, keys, deadline=None):
+                nonlocal answered
+                hits = await get_multi(server_id, keys, deadline)
+                answered += 1
+                if answered == first_probes:
+                    gate.set()
+                await gate.wait()
+                return hits
+
+            live.web._get_multi = held
+            try:
+                results = await asyncio.gather(
+                    *[live.web.fetch_many(page) for page in pages]
+                )
+                return [page["hot"].path for page in results], live.db_reads
+            finally:
+                await live.stop()
+
+        hot_paths, db_reads = run(body())
+        assert db_reads == 1 + (5 if own_keys else 0)
+        assert sorted(hot_paths) == sorted(
+            [FetchPath.MISS_DB] + [FetchPath.COALESCED] * 4
+        )
 
     def test_stats_objects_directly_comparable(self):
         # Both substrates expose the same FetchStats type with FetchPath

@@ -11,15 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     RetrievalConfig,
     RetrievalEngine,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -34,33 +31,12 @@ DRAINING = RoutingEpochs(
 
 
 class StoreDriver:
-    """Dict-backed executor for both the single-key and batched protocols."""
+    """Dict-backed executor for the round protocol both planners speak."""
 
     def __init__(self, stores, db, digests):
         self.stores = {sid: dict(store) for sid, store in stores.items()}
         self.db = db
         self.digests = digests
-
-    def run_single(self, generator, key):
-        result = None
-        try:
-            while True:
-                command = generator.send(result)
-                if isinstance(command, ProbeCache):
-                    result = self.stores.get(command.server_id, {}).get(key)
-                elif isinstance(command, CheckDigest):
-                    result = key in self.digests.get(command.server_id, ())
-                elif isinstance(command, WaitForLeader):
-                    result = False
-                elif isinstance(command, ReadDatabase):
-                    result = self.db[key]
-                elif isinstance(command, WriteBack):
-                    self.stores.setdefault(command.server_id, {})[key] = (
-                        command.value
-                    )
-                    result = None
-        except StopIteration as stop:
-            return stop.value
 
     def run_batch(self, generator):
         answers = None
@@ -137,7 +113,7 @@ def test_batch_outcomes_equal_sequential_outcomes(state, data):
     seq_engine = RetrievalEngine(ROUTER)
     seq_driver = StoreDriver(stores, db, digests)
     sequential = {
-        key: seq_driver.run_single(seq_engine.retrieve(key, epochs), key)
+        key: seq_driver.run_batch(seq_engine.retrieve(key, epochs))
         for key in keys
     }
 
